@@ -35,7 +35,6 @@ poison cells (inspect with ``repro quarantine``).
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 from typing import Iterable, Optional, Sequence
@@ -54,6 +53,7 @@ from repro.experiments.runner import (
     StatsCache,
     build_design,
     resolve_bus_model,
+    run_design_on_events,
 )
 from repro.harness import (
     CheckpointError,
@@ -184,12 +184,8 @@ def _run_one(design_name: str, args, tracer=None, metrics=None, profiler=None):
     if profiler is not None:
         profiler.instrument(system)
     events, warmup_events, _ = _make_events(args)
-    iterator = iter(events)
-    if warmup_events:
-        system.run(itertools.islice(iterator, warmup_events))
-        system.reset_stats()
-    system.run(iterator)
-    return design, system.stats()
+    _, stats = run_design_on_events(system, events, warmup_events)
+    return design, stats
 
 
 def _validate_workload_args(args) -> None:

@@ -35,34 +35,7 @@ from repro.cpu.core import InOrderCore
 from repro.obs import events as ev
 from repro.obs.metrics import MetricsCollector
 from repro.obs.tracer import NO_TRACE, NullTracer, Tracer
-
-
-class TimedAccess:
-    """One workload event: a cache-line touch with its instruction context.
-
-    Attributes:
-        access: the memory reference presented to the hierarchy.
-        gap: non-memory instructions executed before it.
-        colocated: additional memory instructions that hit the same
-            cache line (spatial locality) — guaranteed L1 hits, charged
-            the L1 latency without being simulated individually.
-
-    A plain slotted class: traces contain millions of these and
-    construction cost dominates the generator's hot path.
-    """
-
-    __slots__ = ("access", "gap", "colocated")
-
-    def __init__(self, access: Access, gap: int = 0, colocated: int = 0) -> None:
-        self.access = access
-        self.gap = gap
-        self.colocated = colocated
-
-    def __repr__(self) -> str:
-        return (
-            f"TimedAccess({self.access!r}, gap={self.gap}, "
-            f"colocated={self.colocated})"
-        )
+from repro.workloads.tape import SHARING, EventTape, TimedAccess
 
 
 class CmpSystem:
@@ -118,9 +91,6 @@ class CmpSystem:
 
     def _on_l2_invalidate(self, core: int, l2_block_address: int) -> None:
         self.l1s[core].invalidate_l2_block(l2_block_address, self.design.block_size)
-
-    def _others(self, core: int) -> "Iterable[int]":
-        return (c for c in range(self.params.num_cores) if c != core)
 
     def access(self, access: Access) -> int:
         """Run one memory reference; returns its stall cycles (0 on L1 hit)."""
@@ -228,15 +198,17 @@ class CmpSystem:
         if self.metrics is not None:
             self.metrics.on_step()
 
-    def run(self, events: "Iterable[TimedAccess]") -> None:
-        """Execute a stream of timed accesses.
+    def run(self, events: "EventTape | Iterable[TimedAccess]") -> None:
+        """Execute a stream of timed accesses (an :class:`EventTape` or
+        any iterable of :class:`TimedAccess`).
 
         Dispatches on the observability configuration once, not per
-        event: a plain run (no tracer, no metrics, atomic interconnect)
-        takes a specialized loop with *zero* instrumentation guards and
-        the core's cycle accounting inlined, which is where the
-        simulator spends its life.  Any attached instrument falls back
-        to the general loop, whose behavior is bit-identical.
+        event.  A plain run (no tracer, no metrics, atomic interconnect)
+        replays the stream as a tape — storing it first if it is not
+        one — through :meth:`_run_tape`, a loop with *zero*
+        instrumentation guards.  Any attached instrument takes
+        :meth:`_run_instrumented` instead, whose behavior is
+        bit-identical.
         """
         if (
             self.tracer.enabled
@@ -244,40 +216,60 @@ class CmpSystem:
             or getattr(self.design, "queue", None) is not None
         ):
             return self._run_instrumented(events)
-        # Specialized hot loop.  The per-event accounting mirrors
-        # InOrderCore.execute_gap/execute_colocated/execute_memory in
-        # that order (the L2 reads core.cycles as its virtual clock, so
-        # gap and colocated cycles must land *before* the access);
-        # test_system pins the equivalence against the method-call path.
+        if not isinstance(events, EventTape):
+            events = EventTape.from_events(events)
+        self._run_tape(events)
+
+    def _run_tape(self, tape: EventTape) -> None:
+        """The specialized hot loop: replay ``tape`` column by column.
+
+        An :class:`Access` is built only for events that miss the L1.
+        The per-event accounting mirrors InOrderCore.execute_gap/
+        execute_colocated/execute_memory: the L2 reads ``core.cycles``
+        as its virtual clock, so gap and colocated cycles land *before*
+        a miss reaches it (an L1 hit charges everything at once).
+        test_system pins this loop against :meth:`_run_instrumented`.
+        """
         cores = self.cores
         l1s = self.l1s
         store_miss = self._store_miss
         load_miss = self._load_miss
+        sharing_of = SHARING
         write = AccessType.WRITE
-        for event in events:
-            acc = event.access
-            core_id = acc.core
+        read = AccessType.READ
+        for core_id, address, is_write, sharing, gap, colocated in zip(
+            *tape.columns()
+        ):
             core = cores[core_id]
             latency = core.l1_latency
-            gap = event.gap
-            colocated = event.colocated
-            if gap or colocated:
-                core.instructions += gap + colocated
+            core.instructions += gap + colocated + 1
+            if is_write:
+                if l1s[core_id].store(address):
+                    core.cycles += gap + (colocated + 1) * latency
+                    continue
                 core.cycles += gap + colocated * latency
-            if acc.type is write:
-                stall = 0 if l1s[core_id].store(acc.address) else store_miss(acc)
-            elif l1s[core_id].load(acc.address):
-                stall = 0
+                stall = store_miss(
+                    Access(core_id, address, write, sharing_of[sharing])
+                )
+            elif l1s[core_id].load(address):
+                core.cycles += gap + (colocated + 1) * latency
+                continue
             else:
-                stall = load_miss(acc)
-            core.instructions += 1
+                core.cycles += gap + colocated * latency
+                stall = load_miss(
+                    Access(core_id, address, read, sharing_of[sharing])
+                )
             core.cycles += latency + stall
 
-    def _run_instrumented(self, events: "Iterable[TimedAccess]") -> None:
+    def _run_instrumented(
+        self, events: "EventTape | Iterable[TimedAccess]"
+    ) -> None:
         """The general event loop: tracing, metrics, event-queue drains.
 
-        Inlines :meth:`step`; with tracing disabled and no metrics
-        bound the additions are one branch each per event.
+        Inlines :meth:`step` over :class:`TimedAccess` objects (rebuilt
+        from the columns when ``events`` is a tape); with tracing
+        disabled and no metrics bound the additions are one branch each
+        per event.
         """
         tracer = self.tracer
         traced = tracer.enabled

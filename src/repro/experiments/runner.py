@@ -9,7 +9,6 @@ enumerate exactly the bars each figure shows.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Sequence
@@ -23,8 +22,10 @@ from repro.common.rng import DEFAULT_SEED
 from repro.common.stats import SimulationStats
 from repro.core.nurapid import NurapidCache
 from repro.cpu.system import CmpSystem, TimedAccess
-from repro.workloads.multiprogrammed import MultiprogrammedWorkload, make_mix
+from repro.workloads.base import EventStream
+from repro.workloads.multiprogrammed import make_mix
 from repro.workloads.multithreaded import make_workload
+from repro.workloads.tape import EventTape
 
 
 @dataclass(frozen=True)
@@ -171,18 +172,49 @@ def build_design(
 
 
 def run_design_on_events(
-    design: L2Design,
-    events: "Iterable[TimedAccess]",
+    design: "L2Design | CmpSystem",
+    events: "EventTape | Iterable[TimedAccess]",
     warmup_events: int,
 ) -> "tuple[CmpSystem, SimulationStats]":
-    """Warm up, reset statistics, measure; return (system, stats)."""
-    system = CmpSystem(design)
-    iterator = iter(events)
+    """Warm up, reset statistics, measure; return (system, stats).
+
+    ``design`` is an L2 design, or a system already built around one
+    (for callers that attach a tracer, metrics or a profiler first).
+    ``events`` is stored as an :class:`EventTape` unless it is one, and
+    both phases replay windows of that tape.
+    """
+    system = CmpSystem(design) if isinstance(design, L2Design) else design
+    tape = events if isinstance(events, EventTape) else EventTape.from_events(events)
+    split = min(warmup_events, len(tape))
     if warmup_events:
-        system.run(itertools.islice(iterator, warmup_events))
+        system.run(tape[:split])
         system.reset_stats()
-    system.run(iterator)
+    system.run(tape[split:])
     return system, system.stats()
+
+
+def workload_events(
+    workload_name: str,
+    config: "ExperimentConfig",
+    multiprogrammed: bool = False,
+    num_cores: "Optional[int]" = None,
+) -> "tuple[EventStream, int]":
+    """One run's event stream and the workload's core count.
+
+    The workload is built through this module's :func:`make_workload`
+    or :func:`make_mix`.  ``num_cores`` scales a Table 3 workload to an
+    N-core machine; None keeps the paper's 4 cores (mixes are 4-core by
+    construction).
+    """
+    if multiprogrammed:
+        workload = make_mix(workload_name, seed=config.seed)
+    elif num_cores is not None:
+        workload = make_workload(workload_name, num_cores=num_cores,
+                                 seed=config.seed)
+    else:
+        workload = make_workload(workload_name, seed=config.seed)
+    total = config.warmup_per_core + config.measure_per_core
+    return workload.events(accesses_per_core=total), workload.num_cores
 
 
 def run_multithreaded(
@@ -198,15 +230,8 @@ def run_multithreaded(
     num_cores=N)``); None keeps the paper's 4 cores.
     """
     config = config or ExperimentConfig()
-    if num_cores is not None:
-        workload = make_workload(workload_name, num_cores=num_cores,
-                                 seed=config.seed)
-    else:
-        workload = make_workload(workload_name, seed=config.seed)
-    total = config.warmup_per_core + config.measure_per_core
-    events = workload.events(accesses_per_core=total)
-    warmup_events = config.warmup_per_core * workload.num_cores
-    return run_design_on_events(design, events, warmup_events)
+    events, cores = workload_events(workload_name, config, num_cores=num_cores)
+    return run_design_on_events(design, events, config.warmup_per_core * cores)
 
 
 def run_mix(
@@ -216,11 +241,8 @@ def run_mix(
 ) -> "tuple[CmpSystem, SimulationStats]":
     """Run one design on one Table 2 multiprogrammed mix."""
     config = config or ExperimentConfig()
-    workload: MultiprogrammedWorkload = make_mix(mix_name, seed=config.seed)
-    total = config.warmup_per_core + config.measure_per_core
-    events = workload.events(accesses_per_core=total)
-    warmup_events = config.warmup_per_core * workload.num_cores
-    return run_design_on_events(design, events, warmup_events)
+    events, cores = workload_events(mix_name, config, multiprogrammed=True)
+    return run_design_on_events(design, events, config.warmup_per_core * cores)
 
 
 @dataclass
@@ -381,6 +403,8 @@ class StatsCache:
     def __init__(self, path: "Optional[str]" = None) -> None:
         self.path = path
         self._cache: "Dict[tuple, SimulationStats]" = {}
+        self._tape_key: "Optional[tuple]" = None
+        self._tape: "Optional[tuple[EventTape, int]]" = None
         if path is not None:
             self._cache, dirty = self._load(path)
             if dirty:
@@ -573,18 +597,45 @@ class StatsCache:
             workload, design_key, config, multiprogrammed, num_cores
         )
         if key not in self._cache:
-            if multiprogrammed:
-                if num_cores:
-                    raise ValueError(
-                        "multiprogrammed mixes are 4-core by construction; "
-                        "num_cores only scales multithreaded workloads"
-                    )
-                _, stats = run_mix(factory(), workload, config)
-            else:
-                _, stats = run_multithreaded(
-                    factory(), workload, config,
-                    num_cores=num_cores or None,
+            if multiprogrammed and num_cores:
+                raise ValueError(
+                    "multiprogrammed mixes are 4-core by construction; "
+                    "num_cores only scales multithreaded workloads"
                 )
+            # The tape first: the generator's working state is freed
+            # before the design is built.
+            tape, cores = self.tape(workload, config, multiprogrammed, num_cores)
+            _, stats = run_design_on_events(
+                factory(), tape, config.warmup_per_core * cores
+            )
             self._cache[key] = stats
             self._append(key, stats)
         return self._cache[key]
+
+    def tape(
+        self,
+        workload: str,
+        config: ExperimentConfig,
+        multiprogrammed: bool = False,
+        num_cores: int = 0,
+    ) -> "tuple[EventTape, int]":
+        """The event tape of a ``workload`` run and the workload's core count.
+
+        The cache keeps one tape, the most recent, keyed by (workload or
+        mix, seed, num_cores, accesses_per_core).  A sweep runs every
+        design of one workload back to back, so :meth:`get` generates
+        each stream once per cache and replays it for every design.
+        The memo lives and dies with this cache: a fresh cache pays
+        generation again, exactly as a one-shot run does.
+        """
+        total = config.warmup_per_core + config.measure_per_core
+        key = (workload, multiprogrammed, config.seed, num_cores, total)
+        if self._tape_key != key:
+            # Drop the old tape before building its successor.
+            self._tape_key = self._tape = None
+            events, cores = workload_events(
+                workload, config, multiprogrammed, num_cores or None
+            )
+            self._tape = (EventTape.from_events(events), cores)
+            self._tape_key = key
+        return self._tape

@@ -34,7 +34,11 @@ from repro.common.params import (
 from repro.core.nurapid import NurapidCache
 from repro.cpu.system import CmpSystem
 from repro.experiments.report import ExperimentReport
-from repro.experiments.runner import ExperimentConfig, run_multithreaded
+from repro.experiments.runner import (
+    ExperimentConfig,
+    run_design_on_events,
+    run_multithreaded,
+)
 from repro.workloads.base import SyntheticWorkload
 from repro.workloads.multithreaded import workload_spec
 
@@ -113,15 +117,11 @@ def run_core_scaling(
         system = CmpSystem(design, SystemParams(num_cores=cores))
         workload = SyntheticWorkload(spec, num_cores=cores, seed=config.seed)
         total = config.warmup_per_core + config.measure_per_core
-        events = workload.events(accesses_per_core=total)
-        import itertools
-
-        system.run(
-            itertools.islice(events, config.warmup_per_core * cores)
+        _, stats = run_design_on_events(
+            system,
+            workload.events(accesses_per_core=total),
+            config.warmup_per_core * cores,
         )
-        system.reset_stats()
-        system.run(events)
-        stats = system.stats()
         raw[f"{cores}-core"] = stats
         design.check_invariants()
         report.add(f"{cores}-core miss rate", None, stats.accesses.miss_rate)

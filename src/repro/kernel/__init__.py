@@ -18,7 +18,7 @@ from repro.kernel.engine import (
     ENGINE_ENV,
     ENGINES,
     BatchKernel,
-    EventTape,
+    TapeViews,
     resolve_engine,
     run_batch,
 )
@@ -29,9 +29,9 @@ __all__ = [
     "ENGINE_ENV",
     "ENGINES",
     "BatchKernel",
-    "EventTape",
     "L1Pool",
     "L2Pool",
+    "TapeViews",
     "resolve_engine",
     "run_batch",
 ]

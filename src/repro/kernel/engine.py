@@ -4,11 +4,11 @@ The engine replaces the scalar per-event loop of
 :class:`repro.cpu.system.CmpSystem` with a *speculative window* over a
 materialized event tape:
 
-1. **Materialize** one workload's event stream into an
-   :class:`EventTape` (columnar numpy arrays).  Every design lane in a
-   batch group shares the same tape — across designs *and* bus models —
-   so generation cost, more than half of a scalar run, is paid once per
-   workload instead of once per cell.
+1. **Materialize** one workload's event stream into a shared
+   :class:`~repro.workloads.tape.EventTape` and take numpy views of it
+   (:class:`TapeViews`).  Every design lane in a batch group shares the
+   same tape — across designs *and* bus models — so generation is paid
+   once per workload instead of once per cell.
 2. **Probe a window** of upcoming events for every lane against the
    SoA L1 state (:class:`~repro.kernel.soa.L1Pool`) and, for eligible
    lanes, the SoA L2 tag mirror (:class:`~repro.kernel.soa.L2Pool`),
@@ -78,7 +78,6 @@ tapes and batched residues.
 from __future__ import annotations
 
 import os
-from array import array
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
@@ -87,14 +86,14 @@ from repro.caches.design import L2Design
 from repro.coherence.states import CoherenceState
 from repro.common.params import L1Params, SystemParams
 from repro.common.stats import CoreTiming, SimulationStats
-from repro.common.types import Access, AccessType, MissClass, SharingClass
+from repro.common.types import Access, AccessType, MissClass
 from repro.core.tag_array import STATE_CODES
 from repro.kernel.soa import L1Pool, L2Pool
+from repro.workloads.tape import SHARING, EventTape
 
 if TYPE_CHECKING:  # pragma: no cover
     from numpy.typing import NDArray
 
-    from repro.cpu.system import TimedAccess
     from repro.experiments.runner import ExperimentConfig
 
 #: Recognized simulation engines (``--engine`` / REPRO_ENGINE).
@@ -145,13 +144,6 @@ _CALM_EVENTS = 64
 #: stops thrash-waking geometrically.
 _WAKE_HITS = 512
 
-_SHARING = (
-    SharingClass.PRIVATE,
-    SharingClass.READ_ONLY_SHARED,
-    SharingClass.READ_WRITE_SHARED,
-)
-_SHARING_CODE = {sharing: code for code, sharing in enumerate(_SHARING)}
-
 _HIT = MissClass.HIT
 _M_CODE = STATE_CODES[CoherenceState.MODIFIED]
 _E_CODE = STATE_CODES[CoherenceState.EXCLUSIVE]
@@ -195,21 +187,22 @@ def _poisoned_later(keys: "NDArray", poison: "NDArray") -> "NDArray":
     return out
 
 
-class EventTape:
-    """One workload's event stream, materialized as columnar arrays.
+class TapeViews:
+    """The engine's numpy views of one shared :class:`EventTape`.
 
     Fields are exactly what the engine needs per event: the issuing
     core, the address (plus its precomputed L1 set index and tag), the
-    access type and sharing class, and the per-event timing weights —
-    ``instr_weight`` = gap + colocated + 1 instructions and
-    ``cycle_weight`` = gap + colocated·lat + lat cycles, the totals a
-    stall-free event adds to its core (fallbacks recover the pre-access
-    portion from the raw gap/colocated columns).
+    access type, and the per-event timing weights — ``instr_weight`` =
+    gap + colocated + 1 instructions and ``cycle_weight`` = gap +
+    colocated·lat + lat cycles, the totals a stall-free event adds to
+    its core (fallbacks recover the pre-access portion from the raw
+    gap/colocated columns).
 
-    The builder ``array.array`` columns are kept (``*_raw``) alongside
-    the numpy views: the scalar fallback path reads single events, and
-    ``array.array`` indexing hands back plain python ints without the
-    numpy scalar-extraction overhead.
+    ``core``, ``address`` and ``is_write`` share memory with the tape's
+    ``array`` columns (``np.frombuffer``), which are also kept
+    (``*_raw``): the scalar fallback path reads single events, and
+    ``array`` indexing hands back plain python ints without the numpy
+    scalar-extraction overhead.
     """
 
     __slots__ = (
@@ -229,61 +222,28 @@ class EventTape:
         "colocated_raw",
     )
 
-    def __init__(self) -> None:
-        self.n = 0
-
-    @classmethod
-    def from_events(
-        cls, events: "Iterable[TimedAccess]", params: "L1Params | None" = None
-    ) -> "EventTape":
-        """Consume ``events`` (a workload generator) into a tape."""
+    def __init__(self, tape: EventTape, params: "L1Params | None" = None) -> None:
         params = params or L1Params()
-        write = AccessType.WRITE
-        code = _SHARING_CODE
-        cores = array("h")
-        addresses = array("q")
-        writes = array("b")
-        gaps = array("i")
-        colocateds = array("i")
-        sharings = array("b")
-        for event in events:
-            access = event.access
-            cores.append(access.core)
-            addresses.append(access.address)
-            writes.append(1 if access.type is write else 0)
-            gaps.append(event.gap)
-            colocateds.append(event.colocated)
-            sharings.append(code[access.sharing])
-        tape = cls()
-        tape.n = len(cores)
-        tape.core_raw = cores
-        tape.address_raw = addresses
-        tape.write_raw = writes
-        tape.sharing_raw = sharings
-        tape.gap_raw = gaps
-        tape.colocated_raw = colocateds
-        if tape.n:
-            # frombuffer shares memory with the array.array columns.
-            tape.core = np.frombuffer(cores, dtype=np.int16)
-            tape.address = np.frombuffer(addresses, dtype=np.int64)
-            tape.is_write = np.frombuffer(writes, dtype=np.int8).view(bool)
-            gap = np.frombuffer(gaps, dtype=np.int32)
-            colocated = np.frombuffer(colocateds, dtype=np.int32)
-        else:
-            tape.core = np.zeros(0, dtype=np.int16)
-            tape.address = np.zeros(0, dtype=np.int64)
-            tape.is_write = np.zeros(0, dtype=bool)
-            gap = np.zeros(0, dtype=np.int32)
-            colocated = np.zeros(0, dtype=np.int32)
+        self.n = len(tape)
+        self.core_raw = tape.core
+        self.address_raw = tape.address
+        self.write_raw = tape.write
+        self.sharing_raw = tape.sharing
+        self.gap_raw = tape.gap
+        self.colocated_raw = tape.colocated
+        self.core = np.frombuffer(tape.core, dtype=np.int16)
+        self.address = np.frombuffer(tape.address, dtype=np.int64)
+        self.is_write = np.frombuffer(tape.write, dtype=np.int8).view(bool)
+        gap = np.frombuffer(tape.gap, dtype=np.int32)
+        colocated = np.frombuffer(tape.colocated, dtype=np.int32)
         geo = params.geometry
-        tape.set_index = (
-            (tape.address >> geo.offset_bits) & (geo.num_sets - 1)
+        self.set_index = (
+            (self.address >> geo.offset_bits) & (geo.num_sets - 1)
         ).astype(np.int32)
-        tape.tag = tape.address >> (geo.offset_bits + geo.index_bits)
+        self.tag = self.address >> (geo.offset_bits + geo.index_bits)
         lat = params.latency
-        tape.instr_weight = gap + colocated + 1
-        tape.cycle_weight = gap + colocated * lat + lat
-        return tape
+        self.instr_weight = gap + colocated + 1
+        self.cycle_weight = gap + colocated * lat + lat
 
 
 class _Lane:
@@ -452,11 +412,12 @@ class BatchKernel:
 
     def run(self, tape: EventTape, warmup_events: int = 0) -> None:
         """Warm up, reset statistics, measure — over the whole batch."""
-        split = min(warmup_events, tape.n)
+        views = TapeViews(tape, self.params.l1)
+        split = min(warmup_events, views.n)
         if warmup_events:
-            self._advance(tape, 0, split)
+            self._advance(views, 0, split)
             self.reset_stats()
-        self._advance(tape, split, tape.n)
+        self._advance(views, split, views.n)
 
     def reset_stats(self) -> None:
         """The warm-up boundary: designs reset, timing baselines move."""
@@ -466,7 +427,7 @@ class BatchKernel:
         self.cycles_at_reset[:] = self.cycles
         self.pool.reset_stats(slice(None))
 
-    def _advance(self, tape: EventTape, start: int, end: int) -> None:
+    def _advance(self, tape: TapeViews, start: int, end: int) -> None:
         """The speculative-window loop from event ``start`` to ``end``."""
         if start >= end:
             return
@@ -867,7 +828,7 @@ class BatchKernel:
         return stall
 
     def _run_scalar(
-        self, tape: EventTape, lane_index: int, start: int, count: int
+        self, tape: TapeViews, lane_index: int, start: int, count: int
     ) -> None:
         """Run ``count`` consecutive events of one lane on the scalar path.
 
@@ -922,7 +883,7 @@ class BatchKernel:
                     stall = 0
                 else:
                     access = Access(
-                        core, address, AccessType.WRITE, _SHARING[sharing_raw[i]]
+                        core, address, AccessType.WRITE, SHARING[sharing_raw[i]]
                     )
                     result = access_design(access, now=now)
                     fill(
@@ -936,7 +897,7 @@ class BatchKernel:
                 stall = 0
             else:
                 access = Access(
-                    core, address, AccessType.READ, _SHARING[sharing_raw[i]]
+                    core, address, AccessType.READ, SHARING[sharing_raw[i]]
                 )
                 result = access_design(access, now=now)
                 if probing and result.miss_class is _HIT:
@@ -1165,9 +1126,7 @@ def run_batch(
     for (workload_name, multiprogrammed), lane_keys in groups.items():
         maker = make_mix if multiprogrammed else make_workload
         workload = maker(workload_name, seed=config.seed)
-        tape = EventTape.from_events(
-            workload.events(accesses_per_core=total), params.l1
-        )
+        tape = EventTape.from_events(workload.events(accesses_per_core=total))
         designs = [
             build_design(name, bus_model=bus) for name, bus in lane_keys
         ]
@@ -1186,7 +1145,7 @@ __all__ = [
     "ENGINES",
     "WINDOW",
     "BatchKernel",
-    "EventTape",
+    "TapeViews",
     "resolve_engine",
     "run_batch",
 ]

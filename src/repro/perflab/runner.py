@@ -34,7 +34,6 @@ existing v1 baselines keep working against v2 files.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import platform
@@ -44,14 +43,19 @@ from typing import Dict, List, Optional
 
 from repro.cpu.system import CmpSystem
 from repro.experiments import bench, parallel
-from repro.experiments.runner import StatsCache, build_design, run_mix, run_multithreaded
+from repro.experiments.runner import (
+    StatsCache,
+    build_design,
+    run_design_on_events,
+    run_mix,
+    run_multithreaded,
+    workload_events,
+)
 from repro.obs.metrics import MetricsCollector
 from repro.obs.perfetto import export_jsonl
 from repro.obs.profiler import Profiler
 from repro.obs.tracer import Tracer
 from repro.perflab.plan import BenchPlan, PlanCell
-from repro.workloads.multiprogrammed import make_mix
-from repro.workloads.multithreaded import make_workload
 
 #: Schema tag for plan-driven bench records.
 SCHEMA_V2 = "repro-bench-v2"
@@ -97,15 +101,6 @@ def stats_digest(stats) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _cell_events(cell: PlanCell, config):
-    """(workload object, event iterable, warmup event count) for a cell."""
-    maker = make_mix if cell.multiprogrammed else make_workload
-    workload = maker(cell.workload, seed=config.seed)
-    total = config.warmup_per_core + config.measure_per_core
-    events = workload.events(accesses_per_core=total)
-    return workload, events, config.warmup_per_core * workload.num_cores
-
-
 def _time_cell(cell: PlanCell, config, repeats: int) -> "tuple[float, List[float]]":
     """Best-of-``repeats`` throughput for one cell (accesses/second).
 
@@ -148,12 +143,8 @@ def _capture_cell(cell: PlanCell, plan: BenchPlan, capture_dir: str) -> dict:
     system = CmpSystem(design, tracer=tracer, metrics=collector)
     if profiler is not None:
         profiler.instrument(system)
-    _, events, warmup_events = _cell_events(cell, config)
-    iterator = iter(events)
-    if warmup_events:
-        system.run(itertools.islice(iterator, warmup_events))
-        system.reset_stats()
-    system.run(iterator)
+    events, cores = workload_events(cell.workload, config, cell.multiprogrammed)
+    run_design_on_events(system, events, config.warmup_per_core * cores)
 
     if collector is not None:
         series = collector.finish()

@@ -1,7 +1,8 @@
 """Synthetic workload generators for Table 2 and Table 3 workloads,
-plus trace-file I/O for user-supplied traces."""
+the columnar event tape every run replays, and trace-file I/O for
+user-supplied traces."""
 
-from repro.workloads import tracefile
+from repro.workloads import tape, tracefile
 from repro.workloads.base import (
     BLOCK,
     RegionSpec,
@@ -25,10 +26,12 @@ from repro.workloads.multithreaded import (
     make_workload,
     workload_spec,
 )
+from repro.workloads.tape import EventTape, TimedAccess
 
 __all__ = [
     "BLOCK",
     "COMMERCIAL",
+    "EventTape",
     "MIXES",
     "MULTITHREADED",
     "SCIENTIFIC",
@@ -37,12 +40,14 @@ __all__ = [
     "MultiprogrammedWorkload",
     "RegionSpec",
     "SyntheticWorkload",
+    "TimedAccess",
     "WorkloadSpec",
     "make_mix",
     "make_workload",
     "private_block_address",
     "shared_ro_block_address",
     "shared_rw_block_address",
+    "tape",
     "tracefile",
     "workload_spec",
 ]

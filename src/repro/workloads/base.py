@@ -34,6 +34,7 @@ Every stream is deterministic given the workload name and seed.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional
 
@@ -41,7 +42,7 @@ import numpy as np
 
 from repro.common.rng import DEFAULT_SEED, stream
 from repro.common.types import Access, AccessType, SharingClass
-from repro.cpu.system import TimedAccess
+from repro.workloads.tape import COLUMNS, SHARING_CODE, EventTape, TimedAccess
 
 #: L2 block size the generators align addresses to.
 BLOCK = 128
@@ -239,6 +240,107 @@ def interleave_streams(
             yield timed(nexts[k](), gap, colocated)
 
 
+#: Round-robin rounds drawn per chunk by :func:`fill_tape`; bounds the
+#: transient list of packed events at full run lengths.
+_FILL_ROUNDS = 4096
+
+
+def _shape_column(spec: WorkloadSpec, accesses_per_core: int
+                  ) -> "tuple[array, array]":
+    """One core's gap and colocated values, from :class:`EventShaper`."""
+    next_shape = EventShaper(spec).next_shape
+    gaps = array("i", [0]) * accesses_per_core
+    colocateds = array("i", [0]) * accesses_per_core
+    for i in range(accesses_per_core):
+        gaps[i], colocateds[i] = next_shape()
+    return gaps, colocateds
+
+
+def fill_tape(streams: "List[_CoreStream]", accesses_per_core: int) -> EventTape:
+    """The tape :func:`interleave_streams` would yield, filled by column.
+
+    Cores interact only through shared hot sets, so the address, write
+    and sharing columns are drawn in the same round-robin order, as one
+    packed int per event (:meth:`_CoreStream.next_packed`) that numpy
+    splits into the columns a chunk at a time.  The core, gap and
+    colocated columns depend only on each core's index and spec and are
+    laid down per core.  Columns are sized up front and written through
+    numpy views, so the fill's transient memory stays one chunk.
+    """
+    num_cores = len(streams)
+    total = num_cores * accesses_per_core
+    tape = EventTape()
+    tape.core = array("h", range(num_cores)) * accesses_per_core
+    for name, typecode in COLUMNS[1:]:
+        setattr(tape, name, array(typecode, [0]) * total)
+    gaps = np.frombuffer(tape.gap, dtype=np.int32).reshape(-1, num_cores)
+    colocateds = np.frombuffer(tape.colocated, dtype=np.int32).reshape(
+        -1, num_cores
+    )
+    shaped: "dict[int, int]" = {}
+    for k, stream in enumerate(streams):
+        first = shaped.setdefault(id(stream.spec), k)
+        if first == k:
+            gap, colocated = _shape_column(stream.spec, accesses_per_core)
+        else:
+            gap, colocated = gaps[:, first], colocateds[:, first]
+        gaps[:, k] = gap
+        colocateds[:, k] = colocated
+    address = np.frombuffer(tape.address, dtype=np.int64)
+    write = np.frombuffer(tape.write, dtype=np.int8)
+    sharing = np.frombuffer(tape.sharing, dtype=np.int8)
+    nexts = [stream.next_packed for stream in streams]
+    done = 0
+    while done < total:
+        rounds = min(_FILL_ROUNDS, accesses_per_core - done // num_cores)
+        packed = np.array(
+            [draw() for _ in range(rounds) for draw in nexts], dtype=np.int64
+        )
+        chunk = slice(done, done + len(packed))
+        np.right_shift(packed, 3, out=address[chunk])
+        write[chunk] = (packed >> 2) & 1
+        sharing[chunk] = packed & 3
+        done += len(packed)
+    return tape
+
+
+class EventStream:
+    """The one-shot event iterator a synthetic workload's ``events()`` returns.
+
+    Iterating yields :class:`TimedAccess` objects from
+    :func:`interleave_streams`.  :meth:`to_tape` (what
+    :meth:`EventTape.from_events` calls) stores the stream as a tape;
+    if nothing has been drawn yet it fills the columns directly with
+    :func:`fill_tape`, building no per-event objects.  Either way the
+    stream is consumed.
+    """
+
+    __slots__ = ("_streams", "_accesses_per_core", "_iterator")
+
+    def __init__(self, streams: "List[_CoreStream]", accesses_per_core: int) -> None:
+        self._streams = streams
+        self._accesses_per_core = accesses_per_core
+        self._iterator: "Optional[Iterator[TimedAccess]]" = None
+
+    def __iter__(self) -> "Iterator[TimedAccess]":
+        if self._iterator is None:
+            self._iterator = interleave_streams(
+                self._streams, self._accesses_per_core
+            )
+        return self._iterator
+
+    def __next__(self) -> TimedAccess:
+        return next(iter(self))
+
+    def to_tape(self) -> EventTape:
+        if self._iterator is not None:
+            tape = EventTape()
+            tape.extend(self._iterator)
+            return tape
+        self._iterator = iter(())
+        return fill_tape(self._streams, self._accesses_per_core)
+
+
 def _half(block: int) -> int:
     """Deterministic 64 B half of the 128 B block a reference touches.
 
@@ -277,6 +379,7 @@ class _Region:
     ) -> None:
         self.spec = spec
         self.sharing = sharing
+        self.code = SHARING_CODE[sharing]
         self.address_fn = address_fn
         self.hot_set = hot_set
 
@@ -381,6 +484,54 @@ class _CoreStream:
         access_type = _WRITE if is_write else _READ
         return Access(self.core, address, access_type, sharing=region.sharing)
 
+    def next_packed(self) -> int:
+        """:meth:`next_access`'s next event as one int, for :func:`fill_tape`.
+
+        Returns ``address << 3 | write << 2 | sharing code``.  Draws and
+        branches are :meth:`next_access`'s, which stays the reference
+        implementation and is pinned against this method event by event
+        by the workload tests.  The recent window holds ``(address << 3
+        | sharing code, write probability)`` pairs here, so one stream
+        must be drawn through one of the two methods only.
+        """
+        i = self._cursor
+        if i >= self._BATCH:
+            self._refill()
+            i = 0
+        self._cursor = i + 1
+        spec = self.spec
+
+        recent = self._recent
+        rlen = len(recent)
+        if rlen and self._choice[i] < spec.p_recent:
+            pos = self._recent_start + self._recent_pick[i] % rlen
+            if pos >= rlen:
+                pos -= rlen
+            packed, write_prob = recent[pos]
+            return packed | 4 if self._write[i] < write_prob else packed
+
+        region_index = self._region_index[i]
+        region = self.regions[region_index]
+
+        hot = region.hot_set
+        if hot is not None and self._hot_draw[i] < region.spec.hot_fraction:
+            block = hot.draw(self._hot_pick[i])
+            hot.maybe_rotate(self._rotate[i])
+        else:
+            block = self._tail_blocks[region_index][i]
+
+        packed = region.address_fn(block) << 3 | region.code
+        write_prob = self._write_prob(region, block)
+        window = spec.recent_window
+        if rlen < window:
+            recent.append((packed, write_prob))
+        elif window:
+            start = self._recent_start
+            recent[start] = (packed, write_prob)
+            start += 1
+            self._recent_start = 0 if start == window else start
+        return packed | 4 if self._write[i] < write_prob else packed
+
 
 def _build_regions(
     spec: WorkloadSpec,
@@ -464,8 +615,8 @@ class SyntheticWorkload:
             )
         return hot_sets
 
-    def events(self, accesses_per_core: int) -> "Iterator[TimedAccess]":
-        """Round-robin interleaving of the per-core streams."""
+    def events(self, accesses_per_core: int) -> EventStream:
+        """Round-robin interleaving of the per-core streams (one-shot)."""
         shared_hot = self._shared_hot_sets()
         streams = []
         for core in range(self.num_cores):
@@ -476,4 +627,4 @@ class SyntheticWorkload:
             streams.append(
                 _CoreStream(self.spec, core, self.num_cores, rng, regions, probs)
             )
-        return interleave_streams(streams, accesses_per_core)
+        return EventStream(streams, accesses_per_core)

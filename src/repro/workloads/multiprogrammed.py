@@ -17,16 +17,14 @@ Footprints are in 128 B blocks: 16384 blocks = 2 MB.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.common.rng import DEFAULT_SEED, stream
-from repro.cpu.system import TimedAccess
 from repro.workloads.base import (
+    EventStream,
     RegionSpec,
     WorkloadSpec,
     _build_regions,
     _CoreStream,
-    interleave_streams,
 )
 
 
@@ -118,7 +116,7 @@ class MultiprogrammedWorkload:
         self.num_cores = len(self.apps)
         self.seed = seed
 
-    def events(self, accesses_per_core: int) -> "Iterator[TimedAccess]":
+    def events(self, accesses_per_core: int) -> EventStream:
         streams = []
         for core, app in enumerate(self.apps):
             spec = _app_spec(app)
@@ -127,7 +125,7 @@ class MultiprogrammedWorkload:
             streams.append(
                 _CoreStream(spec, core, self.num_cores, rng, regions, probs)
             )
-        return interleave_streams(streams, accesses_per_core)
+        return EventStream(streams, accesses_per_core)
 
 
 def make_mix(mix_name: str, seed: int = DEFAULT_SEED) -> MultiprogrammedWorkload:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
 from repro.common.types import Access, AccessType
-from repro.cpu.system import TimedAccess
+from repro.workloads.tape import TimedAccess
 
 PathOrFile = Union[str, Path, IO[str]]
 

@@ -27,9 +27,10 @@ from repro.experiments.runner import (
     run_mix,
     run_multithreaded,
 )
-from repro.kernel import BATCH_BUS_MODELS, BatchKernel, EventTape, run_batch
+from repro.kernel import BATCH_BUS_MODELS, BatchKernel, run_batch
 from repro.workloads.multiprogrammed import MIXES
 from repro.workloads.multithreaded import MULTITHREADED
+from repro.workloads.tape import EventTape
 
 ALL_DESIGNS = sorted(DESIGN_FACTORIES)
 ALL_WORKLOADS = tuple(spec.name for spec in MULTITHREADED)
@@ -239,7 +240,7 @@ def test_l2_hit_heavy_engages_fast_tier_and_matches():
         ("cmp-nurapid-isc", "eventq"),
     ]
     params = SystemParams()
-    tape = EventTape.from_events(_l2_hit_heavy_stream(), params.l1)
+    tape = EventTape.from_events(_l2_hit_heavy_stream())
     designs = [build_design(n, bus_model=b) for n, b in names]
     kernel = BatchKernel(designs, params)
     kernel.run(tape, 0)

@@ -305,14 +305,15 @@ def _edge_stream(n, num_cores=4):
 def test_event_tape_edge_lengths_identical(length):
     from repro.common.params import SystemParams
     from repro.experiments.runner import run_design_on_events
-    from repro.kernel import BatchKernel, EventTape
+    from repro.kernel import BatchKernel
     from repro.kernel.engine import WINDOW
+    from repro.workloads.tape import EventTape
 
     assert 24 == WINDOW  # the ids above encode the window size
     names, build_design = _tape_edge_designs()
     params = SystemParams()
-    tape = EventTape.from_events(_edge_stream(length), params.l1)
-    assert tape.n == length
+    tape = EventTape.from_events(_edge_stream(length))
+    assert len(tape) == length
     designs = [build_design(n, bus_model=b) for n, b in names]
     kernel = BatchKernel(designs, params)
     kernel.run(tape, 0)
@@ -329,11 +330,12 @@ def test_event_tape_warmup_beyond_tape_identical():
     nothing and agree on the (all-zero) statistics."""
     from repro.common.params import SystemParams
     from repro.experiments.runner import run_design_on_events
-    from repro.kernel import BatchKernel, EventTape
+    from repro.kernel import BatchKernel
+    from repro.workloads.tape import EventTape
 
     names, build_design = _tape_edge_designs()
     params = SystemParams()
-    tape = EventTape.from_events(_edge_stream(10), params.l1)
+    tape = EventTape.from_events(_edge_stream(10))
     designs = [build_design(n, bus_model=b) for n, b in names]
     kernel = BatchKernel(designs, params)
     kernel.run(tape, 10)

@@ -158,3 +158,44 @@ class TestRunAndStats:
         stats = run_workload(design, events)
         assert stats.accesses.total == 10
         assert stats.total_instructions == 20
+
+
+class TestRunLoops:
+    """The column loop against the general loop, for every design."""
+
+    @staticmethod
+    def _run(design_name, loop):
+        from repro.experiments.runner import build_design
+        from repro.workloads import make_workload
+        from repro.workloads.tape import EventTape
+
+        tape = EventTape.from_events(make_workload("oltp", seed=11).events(400))
+        system = CmpSystem(build_design(design_name, bus_model="atomic"))
+        getattr(system, loop)(tape[:800])
+        system.reset_stats()
+        getattr(system, loop)(tape[800:])
+        return system
+
+    def test_column_loop_matches_instrumented_loop(self):
+        from repro.experiments.runner import DESIGN_FACTORIES
+
+        assert len(DESIGN_FACTORIES) == 8
+        for name in DESIGN_FACTORIES:
+            column = self._run(name, "_run_tape")
+            general = self._run(name, "_run_instrumented")
+            assert column.stats().fingerprint() == general.stats().fingerprint(), name
+            assert [(c.instructions, c.cycles) for c in column.cores] == [
+                (c.instructions, c.cycles) for c in general.cores
+            ], name
+
+    def test_plain_run_of_an_iterable_takes_the_column_loop(self, monkeypatch):
+        taken = []
+        real = CmpSystem._run_tape
+        monkeypatch.setattr(
+            CmpSystem, "_run_tape",
+            lambda self, tape: taken.append(len(tape)) or real(self, tape),
+        )
+        system = small_system()
+        system.run(TimedAccess(read(0, i * 128)) for i in range(5))
+        assert taken == [5]
+        assert system.design.stats.total == 5

@@ -248,3 +248,59 @@ class TestTable2Mixes:
         a = [e.access.address for e in make_mix("MIX1", seed=4).events(30)]
         b = [e.access.address for e in make_mix("MIX1", seed=4).events(30)]
         assert a == b
+
+
+def _object_columns(events):
+    """An events list as tape-layout tuples, via the reference generator."""
+    from repro.workloads.tape import SHARING_CODE
+
+    return [
+        (e.access.core, e.access.address, int(e.access.type is AccessType.WRITE),
+         SHARING_CODE[e.access.sharing], e.gap, e.colocated)
+        for e in events
+    ]
+
+
+class TestDirectFill:
+    """The column fill against the reference object path, event by event."""
+
+    SOURCES = [
+        ("tiny", lambda: SyntheticWorkload(tiny_spec(), seed=9)),
+        ("oltp", lambda: make_workload("oltp", seed=9)),
+        ("ocean", lambda: make_workload("ocean", seed=9)),
+        ("barnes-8core", lambda: make_workload("barnes", num_cores=8, seed=9)),
+    ] + [(mix, lambda mix=mix: make_mix(mix, seed=9)) for mix in sorted(MIXES)]
+
+    @pytest.mark.parametrize("name, make", SOURCES, ids=[n for n, _ in SOURCES])
+    def test_fill_matches_next_access(self, name, make):
+        from repro.workloads.tape import EventTape
+
+        # 8300 per core crosses the generators' 8192-draw refill.
+        n = 8300 if name in ("tiny", "MIX1") else 600
+        reference = _object_columns(make().events(n))
+        tape = EventTape.from_events(make().events(n))
+        filled = list(zip(*tape.columns()))
+        assert len(filled) == len(reference)
+        for index, (got, want) in enumerate(zip(filled, reference)):
+            assert got == want, f"{name}: event {index} differs"
+
+    def test_next_packed_matches_next_access_per_stream(self):
+        from repro.workloads.tape import SHARING_CODE
+
+        packed_streams = make_workload("apache", seed=2).events(1)._streams
+        object_streams = make_workload("apache", seed=2).events(1)._streams
+        for _ in range(3000):
+            for packed, reference in zip(packed_streams, object_streams):
+                value = packed.next_packed()
+                access = reference.next_access()
+                assert (value >> 3, value >> 2 & 1, value & 3) == (
+                    access.address, int(access.type is AccessType.WRITE),
+                    SHARING_CODE[access.sharing],
+                )
+
+    def test_inlined_shapes_match_next_shape(self):
+        spec = tiny_spec(mem_ratio=0.3, spatial_factor=4.25)
+        shaper = EventShaper(spec)
+        expected = [shaper.next_shape() for _ in range(500)]
+        events = list(SyntheticWorkload(spec, seed=1).events(500))
+        assert [(e.gap, e.colocated) for e in events[::4]] == expected
