@@ -63,7 +63,6 @@ from repro.harness import (
     load_checkpoint,
     run_events,
 )
-from repro.kernel import ENGINES
 from repro.harness.faults import (
     FAULT_KINDS,
     RACE_FAULT_KINDS,
@@ -247,81 +246,6 @@ def _harness_active(args) -> bool:
     )
 
 
-def _resolve_engine_arg(args):
-    """Resolve --engine (falling back to REPRO_ENGINE) or raise CliError."""
-    from repro.kernel import resolve_engine
-
-    try:
-        return resolve_engine(getattr(args, "engine", None))
-    except ValueError as error:
-        raise CliError(str(error)) from None
-
-
-#: ``repro run`` flags the batch engine cannot honour, and why.  The
-#: refusal diagnostics below name the *specific* offending flag so a
-#: user with a long command line is not left diffing flag lists.
-_BATCH_HARNESS_FLAGS = (
-    ("check_invariants", "--check-invariants", "fault-free runs only"),
-    ("checkpoint", "--checkpoint", "fault-free runs only"),
-    ("resume", "--resume", "fault-free runs only"),
-    ("inject_fault", "--inject-fault", "fault-free runs only"),
-    ("timeout", "--timeout", "fault-free runs only"),
-    ("trace", "--trace", "uninstrumented runs only"),
-    ("metrics", "--metrics", "uninstrumented runs only"),
-    ("profile", "--profile", "uninstrumented runs only"),
-)
-
-
-def _validate_batch_run_args(args) -> None:
-    """The batch engine runs fault-free and uninstrumented only."""
-    from repro.kernel import BATCH_BUS_MODELS
-
-    bus = resolve_bus_model(getattr(args, "bus_model", None))
-    if bus not in BATCH_BUS_MODELS:
-        supported = " and ".join(BATCH_BUS_MODELS)
-        raise CliError(
-            f"--engine batch does not support '--bus-model {bus}' (the "
-            f"mesh NoC is a scalar-engine backend); supported batch bus "
-            f"models are {supported} — drop '--bus-model {bus}' or use "
-            "'--engine scalar'"
-        )
-    offending = [
-        flag
-        for attr, flag, _ in _BATCH_HARNESS_FLAGS
-        if getattr(args, attr)
-    ]
-    if offending:
-        reasons = {
-            reason
-            for attr, _, reason in _BATCH_HARNESS_FLAGS
-            if getattr(args, attr)
-        }
-        raise CliError(
-            f"--engine batch supports {' and '.join(sorted(reasons))}; "
-            f"drop {', '.join(offending)} or use '--engine scalar'"
-        )
-
-
-def _run_one_batch(design_name: str, args):
-    """Run one cell through the batch kernel; returns its stats."""
-    from repro.kernel import run_batch
-
-    workload_name = _workload_name(args)
-    multiprogrammed = bool(args.mix)
-    config = ExperimentConfig(
-        warmup_per_core=args.warmup,
-        measure_per_core=args.accesses,
-        seed=args.seed,
-    )
-    bus_model = resolve_bus_model(args.bus_model)
-    results = run_batch(
-        [(workload_name, design_name, multiprogrammed)],
-        config,
-        bus_model=bus_model,
-    )
-    return results[(workload_name, design_name, multiprogrammed, bus_model)]
-
-
 def _events_from_meta(meta: dict):
     """Rebuild the deterministic event stream a checkpoint was cut from."""
     seed = meta.get("seed", DEFAULT_SEED)
@@ -458,13 +382,6 @@ def _stats_row(name: str, stats, baseline_throughput: "Optional[float]"):
 
 def cmd_run(args) -> int:
     _validate_run_args(args)
-    engine = _resolve_engine_arg(args)
-    if engine == "batch":
-        _validate_batch_run_args(args)
-        design_name = args.design or "cmp-nurapid"
-        stats = _run_one_batch(design_name, args)
-        _print_run_report(design_name, _workload_name(args), stats, args)
-        return 0
     runner = None
     tracer, metrics, profiler = _build_obs(args)
     try:
@@ -496,7 +413,7 @@ def cmd_run(args) -> int:
 
 
 def _print_run_report(design_name: str, label: str, stats, args) -> None:
-    """The ``repro run`` stdout block, shared by both engines."""
+    """The ``repro run`` stdout block."""
     print(f"design: {design_name}")
     print(f"workload: {label}")
     print()
@@ -580,30 +497,25 @@ def cmd_experiment(args) -> int:
     except ValueError as error:
         raise CliError(str(error)) from None
     cell_timeout, max_retries = _resolve_supervision(args)
-    engine = _resolve_engine_arg(args)
     cache = StatsCache(path=args.cache) if args.cache else None
     if name == "all":
         print(
             suite.run_suite(
                 config, cache_path=args.cache, jobs=jobs,
                 cell_timeout=cell_timeout, max_retries=max_retries,
-                engine=engine,
             ).render()
         )
         return 0
-    if jobs > 1 or engine == "batch":
+    if jobs > 1:
         cells = parallel.experiment_cells(name)
         if cells:
-            # Prewarm this experiment's grid in one pool (or, with the
-            # batch engine, as SoA batches — worthwhile even at one
-            # job); the run_fn below then reads every cell out of the
-            # shared cache.
+            # Prewarm this experiment's grid in one pool; the run_fn
+            # below then reads every cell out of the shared cache.
             if cache is None:
                 cache = StatsCache()
             report = parallel.run_cells(
                 cells, config, cache, jobs=jobs,
                 cell_timeout=cell_timeout, max_retries=max_retries,
-                engine=engine,
             )
             if report.retried or report.quarantined or report.fallback_reason:
                 print(f"parallel: {report.summary()}", file=sys.stderr)
@@ -617,11 +529,6 @@ def cmd_experiment(args) -> int:
     if name == "scale":
         from repro.experiments import scale
 
-        if engine == "batch":
-            raise CliError(
-                "experiment scale runs on the mesh NoC, which the batch "
-                "engine does not model; drop --engine batch"
-            )
         cores = tuple(args.cores) if args.cores else scale.DEFAULT_CORES
         for count in cores:
             if count not in scale.SUPPORTED_CORES:
@@ -682,14 +589,8 @@ def cmd_bench(args) -> int:
             f"--fail-threshold must be in [0, 1), got {args.threshold}"
         )
     cell_timeout, max_retries = _resolve_supervision(args)
-    engine = _resolve_engine_arg(args)
     if args.plan:
-        return _bench_plan(args, cell_timeout, max_retries, engine)
-    if engine == "batch":
-        raise CliError(
-            "bench --engine batch needs a plan: the plan's [batch] table "
-            "defines the batch-kernel grid (try --plan plans/default.toml)"
-        )
+        return _bench_plan(args, cell_timeout, max_retries)
     result = bench.run_bench(
         designs=args.designs,
         workload=args.workload or "oltp",
@@ -730,7 +631,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _bench_plan(args, cell_timeout, max_retries, engine=None) -> int:
+def _bench_plan(args, cell_timeout, max_retries) -> int:
     """The plan-driven bench path: ``repro bench --plan FILE``."""
     import json
 
@@ -746,7 +647,6 @@ def _bench_plan(args, cell_timeout, max_retries, engine=None) -> int:
         jobs=args.jobs,
         cell_timeout=cell_timeout,
         max_retries=max_retries,
-        engine=engine,
     )
     if args.no_sweep:
         record.pop("sweep", None)
@@ -761,29 +661,6 @@ def _bench_plan(args, cell_timeout, max_retries, engine=None) -> int:
             file=sys.stderr,
         )
         return bench.REGRESSION_EXIT
-    batch = record.get("batch")
-    if batch is not None:
-        if not batch["identical"]:
-            # Identity is an absolute gate: a diverging kernel is a bug
-            # no matter how fast it is.
-            print(
-                "error: batch-kernel results diverged from scalar: "
-                + ", ".join(batch["mismatches"]),
-                file=sys.stderr,
-            )
-            return bench.REGRESSION_EXIT
-        floor = batch.get("min_speedup") or 0.0
-        if (
-            floor
-            and batch.get("speedup_gate_eligible", True)
-            and batch["speedup"] < floor
-        ):
-            print(
-                f"perf regression: batch-kernel speedup {batch['speedup']}x "
-                f"is below the plan floor {floor}x",
-                file=sys.stderr,
-            )
-            return bench.REGRESSION_EXIT
     if args.baseline:
         try:
             with open(args.baseline, "r", encoding="utf-8") as handle:
@@ -1069,15 +946,6 @@ def build_parser() -> argparse.ArgumentParser:
         "eventq (split-phase discrete-event schedule; bit-identical "
         "at zero occupancy, required for race faults)",
     )
-    # No argparse default: None falls back to the REPRO_ENGINE
-    # environment variable and then "scalar" (resolve_engine).
-    run_parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        help="simulation engine: scalar (the reference path, default) or "
-        "batch (SoA kernel, bit-identical stats; fault-free "
-        "uninstrumented runs only)",
-    )
     _add_workload_options(run_parser)
     _add_obs_options(run_parser)
     run_parser.add_argument("--chart", action="store_true")
@@ -1188,14 +1056,6 @@ def build_parser() -> argparse.ArgumentParser:
         "processes (default: the REPRO_JOBS environment variable, "
         "else 1); results are bit-identical to a serial run",
     )
-    experiment_parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        help="simulation engine for the sweep (default: REPRO_ENGINE, "
-        "else scalar); 'batch' runs each workload's designs as lanes "
-        "of one SoA kernel — bit-identical results, and it composes "
-        "with --jobs (the pool schedules whole batches)",
-    )
     _add_supervision_options(experiment_parser)
     experiment_parser.set_defaults(func=cmd_experiment)
 
@@ -1262,13 +1122,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FRACTION",
         help="allowed fractional throughput drop vs the baseline "
         "(default: 0.2)",
-    )
-    bench_parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        help="with --plan, 'batch' force-enables the plan's [batch] "
-        "leg (batch-kernel aggregate throughput vs scalar, "
-        "fingerprint-checked); without --plan it is an error",
     )
     _add_supervision_options(bench_parser)
     bench_parser.set_defaults(func=cmd_bench)

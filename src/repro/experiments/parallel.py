@@ -161,52 +161,6 @@ class Cell:
             self.multiprogrammed, self.num_cores,
         )
 
-    def keys(self, config: ExperimentConfig) -> "Tuple[tuple, ...]":
-        """Every cache key this unit of work must deliver."""
-        return (self.key(config),)
-
-
-@dataclass(frozen=True)
-class BatchUnit:
-    """A group of cells one worker runs through the SoA batch kernel.
-
-    With ``--engine batch`` the executor schedules these instead of
-    single cells: all members share a workload, so the worker runs them
-    as lanes of one :class:`~repro.kernel.engine.BatchKernel` over one
-    shared event tape, and the process pool multiplies on top of the
-    kernel's own batching.  Results land in the same per-cell cache
-    records as scalar runs (stats are engine-independent — the kernel
-    is bit-identical), so cache hits, shard merging, retry, and
-    quarantine all work unchanged at the unit level.
-    """
-
-    cells: "Tuple[Cell, ...]"
-
-    @property
-    def label(self) -> str:
-        workloads = []
-        for cell in self.cells:
-            if cell.workload not in workloads:
-                workloads.append(cell.workload)
-        return f"batch[{'+'.join(workloads)}:{len(self.cells)}]"
-
-    # The quarantine journal records workload/design/multiprogrammed;
-    # for a unit those are the members' joined identities.
-    @property
-    def workload(self) -> str:
-        return "+".join(dict.fromkeys(cell.workload for cell in self.cells))
-
-    @property
-    def design(self) -> str:
-        return "+".join(dict.fromkeys(cell.design for cell in self.cells))
-
-    @property
-    def multiprogrammed(self) -> bool:
-        return self.cells[0].multiprogrammed if self.cells else False
-
-    def keys(self, config: ExperimentConfig) -> "Tuple[tuple, ...]":
-        return tuple(cell.key(config) for cell in self.cells)
-
 
 def resolve_jobs(jobs: "Optional[int]" = None) -> int:
     """Worker count: explicit argument, ``REPRO_JOBS``, or 1 (serial)."""
@@ -498,35 +452,12 @@ def _simulate_cell(
     bus_model: str,
     shard_base: "Optional[str]",
 ) -> "Tuple[Cell, object]":
-    """Run one cell (or batch unit) from scratch; journal it to a shard.
+    """Run one cell from scratch; journal it to a shard.
 
     Module-level (picklable) and self-contained: the parent resolves
     the bus model before submitting, so a worker's result cannot depend
     on environment differences between fork and spawn start methods.
-    A :class:`BatchUnit` runs all its member cells through the SoA
-    batch kernel and journals one record per member, so a unit's
-    delivery is observable per cell exactly like scalar results.
     """
-    if isinstance(cell, BatchUnit):
-        from repro.kernel import run_batch
-
-        results = run_batch(cell.cells, config, bus_model=bus_model)
-        if shard_base is not None:
-            shard = f"{shard_base}.shard.{os.getpid()}"
-            for member in cell.cells:
-                StatsCache.append_record(
-                    shard,
-                    member.key(config),
-                    results[
-                        (
-                            member.workload,
-                            member.design,
-                            member.multiprogrammed,
-                            bus_model,
-                        )
-                    ],
-                )
-        return cell, results
     design = build_design(
         cell.design, bus_model=bus_model,
         num_cores=cell.num_cores or None,
@@ -891,7 +822,7 @@ class _Supervisor:
         # Adopt whatever the worker journaled, success or not: a worker
         # killed *after* appending its record still delivered it.
         merge_shards(self.cache, self.shard_base, self.tracer, self.registry)
-        if all(key in self.cache for key in attempt.cell.keys(self.config)):
+        if attempt.cell.key(self.config) in self.cache:
             self.completed.append(attempt.cell)
             self._remove(attempt.failure_file)
             self._remove(attempt.heartbeat_file)
@@ -1006,23 +937,6 @@ def _dedup(cells: "Iterable[Cell]") -> "List[Cell]":
 
 def _run_serially(cell: Cell, config: ExperimentConfig,
                   cache: StatsCache, bus_model: str) -> None:
-    if isinstance(cell, BatchUnit):
-        from repro.kernel import run_batch
-
-        results = run_batch(cell.cells, config, bus_model=bus_model)
-        for member in cell.cells:
-            cache.insert(
-                member.key(config),
-                results[
-                    (
-                        member.workload,
-                        member.design,
-                        member.multiprogrammed,
-                        bus_model,
-                    )
-                ],
-            )
-        return
     cache.get(
         cell.workload,
         cell.design,
@@ -1032,26 +946,6 @@ def _run_serially(cell: Cell, config: ExperimentConfig,
         cell.multiprogrammed,
         num_cores=cell.num_cores,
     )
-
-
-def _batch_units(cells: "Sequence[Cell]") -> "List[BatchUnit]":
-    """Group cells into batch-kernel units, one per workload group.
-
-    Cells sharing a (workload, multiprogrammed) pair become lanes of
-    one kernel so they share a single event tape — the batch engine's
-    biggest win — while distinct workloads stay separate units the
-    process pool can schedule concurrently.
-    """
-    groups: "Dict[Tuple[str, bool], List[Cell]]" = {}
-    for cell in cells:
-        if cell.num_cores:
-            raise ValueError(
-                f"cell {cell.label} is scaled to {cell.num_cores} cores; "
-                "the batch kernel models the paper's 4-core machine only "
-                "— use the scalar engine for scaled sweeps"
-            )
-        groups.setdefault((cell.workload, cell.multiprogrammed), []).append(cell)
-    return [BatchUnit(tuple(members)) for members in groups.values()]
 
 
 def run_cells(
@@ -1064,7 +958,6 @@ def run_cells(
     max_retries: "Optional[int]" = None,
     supervision: "Optional[SupervisorConfig]" = None,
     tracer=None,
-    engine: "Optional[str]" = None,
 ) -> ParallelReport:
     """Ensure every cell's stats are in ``cache``, using ``jobs`` workers.
 
@@ -1074,18 +967,9 @@ def run_cells(
     attempt are quarantined and reported, not raised — check
     ``report.quarantined`` (or use :func:`~repro.experiments.runner.
     sweep`, which raises :class:`QuarantinedCellError` for you).
-
-    ``engine`` picks the simulation engine (``None`` defers to
-    ``REPRO_ENGINE``, default scalar).  With ``"batch"``, uncached
-    cells are grouped into :class:`BatchUnit` work items — one SoA
-    kernel per workload group — so the batch kernel and the process
-    pool multiply; results are bit-identical either way.
     """
-    from repro.kernel import resolve_engine
-
     jobs = resolve_jobs(jobs)
     bus_model = resolve_bus_model(bus_model)
-    engine = resolve_engine(engine)
     if supervision is None:
         supervision = SupervisorConfig(
             cell_timeout=resolve_cell_timeout(cell_timeout),
@@ -1103,8 +987,6 @@ def run_cells(
     if not pending:
         report.counters = _snapshot_counters(registry)
         return report
-    if engine == "batch":
-        pending = _batch_units(pending)
     if jobs == 1:
         for cell in pending:
             _run_serially(cell, config, cache, bus_model)

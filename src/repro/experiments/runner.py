@@ -312,7 +312,7 @@ def sweep(
     jobs: "Optional[int]" = None,
     cell_timeout: "Optional[float]" = None,
     max_retries: "Optional[int]" = None,
-    engine: "Optional[str]" = None,
+    engine: str = "scalar",
 ) -> SweepResult:
     """Run every design on every workload; the core of each figure.
 
@@ -324,25 +324,22 @@ def sweep(
     signature changes; ``cell_timeout`` and ``max_retries`` likewise
     default to ``REPRO_CELL_TIMEOUT`` / ``REPRO_MAX_RETRIES``.
 
-    ``engine`` (``None`` defers to ``REPRO_ENGINE``) selects the
-    simulation engine for uncached cells.  ``"batch"`` steps all the
-    designs of one workload together through the SoA batch kernel —
-    bit-identical stats, one shared event tape — and composes with
-    ``jobs``: each workload group becomes one schedulable unit in the
-    worker pool.
+    ``engine`` accepts only ``"scalar"``, the one simulation engine;
+    any other value raises :class:`ValueError`.
 
     Raises :class:`~repro.experiments.parallel.QuarantinedCellError`
     if any requested cell exhausted its retries — after every healthy
     cell has run and been journaled, so a rerun resumes instead of
     restarting.
     """
+    # perfbench/workloads.py still passes engine="scalar".
+    if engine != "scalar":
+        raise ValueError(f"unknown engine {engine!r}; the only engine is 'scalar'")
     config = config or ExperimentConfig()
     cache = cache if cache is not None else StatsCache()
     from repro.experiments import parallel
-    from repro.kernel import resolve_engine
 
-    engine = resolve_engine(engine)
-    if parallel.resolve_jobs(jobs) > 1 or engine == "batch":
+    if parallel.resolve_jobs(jobs) > 1:
         cells = [
             parallel.Cell(workload, design, multiprogrammed)
             for workload in workload_names
@@ -351,7 +348,6 @@ def sweep(
         report = parallel.run_cells(
             cells, config, cache, jobs=jobs,
             cell_timeout=cell_timeout, max_retries=max_retries,
-            engine=engine,
         )
         if report.quarantined:
             journal = (

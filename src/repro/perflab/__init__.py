@@ -29,7 +29,6 @@ from repro.perflab.history import (
     upgrade_record,
 )
 from repro.perflab.plan import (
-    BatchPolicy,
     BenchPlan,
     CapturePolicy,
     GatePolicy,
@@ -58,7 +57,6 @@ from repro.perflab.runner import (
 )
 
 __all__ = [
-    "BatchPolicy",
     "BenchPlan",
     "BenchRun",
     "CapturePolicy",

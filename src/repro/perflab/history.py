@@ -61,20 +61,13 @@ class BenchRun:
 def env_key(environment: dict) -> str:
     """The alignment key: runs compare only within the same key.
 
-    A non-scalar engine is part of the key: a batch-kernel run's
-    throughput means something different from a scalar run's, so the
-    two must never share a rolling baseline even on the same host and
-    the same day.  Scalar (and pre-engine records, which carry no
-    ``engine`` field) keep the historical key unchanged.
+    Older records may carry an ``engine`` field; it is ignored, because
+    every record's per-cell throughput was timed on the scalar engine.
     """
     cpus = environment.get("cpus", "?")
     python = str(environment.get("python", "?"))
     minor = ".".join(python.split(".")[:2])
-    key = f"cpus={cpus}/py={minor}"
-    engine = environment.get("engine")
-    if engine and engine != "scalar":
-        key += f"/engine={engine}"
-    return key
+    return f"cpus={cpus}/py={minor}"
 
 
 def _surrogate_created(run_id: str) -> str:

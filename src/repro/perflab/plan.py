@@ -29,15 +29,6 @@ Schema (TOML shown; JSON mirrors it with the same keys)::
     quick = false
     jobs = 0                    # 0 = auto (REPRO_JOBS, floored at 2)
 
-    [batch]                     # opt-in batch-kernel (--engine batch) leg
-    enabled = true              # defaults to the table's presence
-    designs = []                # empty/omitted fields inherit [grid]
-    workloads = []
-    bus_models = []
-    repeats = 0                 # 0 = inherit run.repeats
-    min_speedup = 1.2           # aggregate accesses/sec floor vs the
-                                # scalar engine (0 = don't gate)
-
     [capture]                   # opt-in per-cell capture bundle
     profile = false             # profiler section timings (JSON)
     trace = false               # JSONL event trace + Perfetto export
@@ -140,29 +131,6 @@ class SweepPolicy:
 
 
 @dataclass(frozen=True)
-class BatchPolicy:
-    """The optional batch-kernel (``--engine batch``) measurement leg.
-
-    Times the SoA kernel over its own cell grid against the scalar
-    engine run cell-by-cell, checks the two are fingerprint-identical,
-    and (optionally) gates on an aggregate-throughput speedup floor.
-    Empty ``designs``/``workloads``/``bus_models`` inherit the plan's
-    ``[grid]``; ``repeats = 0`` inherits ``run.repeats``.
-    """
-
-    enabled: bool = False
-    designs: "Sequence[str]" = ()
-    workloads: "Sequence[str]" = ()
-    bus_models: "Sequence[str]" = ()
-    repeats: int = 0
-    #: Aggregate accesses/sec floor as a multiple of the scalar engine
-    #: (0 disables).  Both sides run serially on one core, so unlike
-    #: the sweep-speedup gate this one is meaningful on any host; the
-    #: process pool multiplies *on top* of whatever ratio it measures.
-    min_speedup: float = 0.0
-
-
-@dataclass(frozen=True)
 class BenchPlan:
     """A validated bench plan, ready to run."""
 
@@ -178,7 +146,6 @@ class BenchPlan:
     sweep: SweepPolicy = SweepPolicy()
     capture: CapturePolicy = CapturePolicy()
     gate: GatePolicy = GatePolicy()
-    batch: BatchPolicy = BatchPolicy()
     #: Where the plan was loaded from (None for in-memory plans).
     path: "Optional[str]" = None
 
@@ -190,19 +157,6 @@ class BenchPlan:
             for workload in self.workloads
             for design in self.designs
         ]
-
-    def batch_cells(self) -> "List[PlanCell]":
-        """The batch leg's grid ([batch] fields, inheriting [grid])."""
-        return [
-            PlanCell(workload, design, bus_model)
-            for bus_model in (self.batch.bus_models or self.bus_models)
-            for workload in (self.batch.workloads or self.workloads)
-            for design in (self.batch.designs or self.designs)
-        ]
-
-    @property
-    def batch_repeats(self) -> int:
-        return self.batch.repeats or self.repeats
 
     def config(self) -> ExperimentConfig:
         return ExperimentConfig(
@@ -233,14 +187,6 @@ class BenchPlan:
                 "min_speedup": self.gate.min_speedup,
                 "cells": dict(self.gate.cells),
             },
-            "batch": {
-                "enabled": self.batch.enabled,
-                "designs": list(self.batch.designs or self.designs),
-                "workloads": list(self.batch.workloads or self.workloads),
-                "bus_models": list(self.batch.bus_models or self.bus_models),
-                "repeats": self.batch_repeats,
-                "min_speedup": self.batch.min_speedup,
-            },
         }
 
 
@@ -257,21 +203,20 @@ def _require(table: dict, context: str, known: "Sequence[str]") -> None:
 
 
 def _names(table: dict, key: str, default: "Sequence[str]",
-           valid: "Sequence[str]", what: str,
-           context: str = "grid") -> "List[str]":
+           valid: "Sequence[str]", what: str) -> "List[str]":
     value = table.get(key, list(default))
     if not isinstance(value, list) or not value or not all(
         isinstance(item, str) for item in value
     ):
-        raise PlanError(f"{context}.{key} must be a non-empty list of strings")
+        raise PlanError(f"grid.{key} must be a non-empty list of strings")
     for item in value:
         if item not in valid:
             raise PlanError(
-                f"{context}.{key}: unknown {what} {item!r} "
+                f"grid.{key}: unknown {what} {item!r} "
                 f"(choose from {', '.join(sorted(valid))})"
             )
     if len(set(value)) != len(value):
-        raise PlanError(f"{context}.{key} contains duplicates")
+        raise PlanError(f"grid.{key} contains duplicates")
     return value
 
 
@@ -308,7 +253,7 @@ def plan_from_dict(raw: dict, path: "Optional[str]" = None) -> BenchPlan:
     if not isinstance(raw, dict):
         raise PlanError(f"plan document must be a table, got {type(raw).__name__}")
     _require(raw, "plan file",
-             ("plan", "grid", "run", "sweep", "capture", "gate", "batch"))
+             ("plan", "grid", "run", "sweep", "capture", "gate"))
 
     plan_table = raw.get("plan", {})
     _require(plan_table, "[plan]", ("name", "description"))
@@ -357,30 +302,6 @@ def plan_from_dict(raw: dict, path: "Optional[str]" = None) -> BenchPlan:
                            "capture", minimum=1),
     )
 
-    batch_table = raw.get("batch", {})
-    _require(batch_table, "[batch]",
-             ("enabled", "designs", "workloads", "bus_models", "repeats",
-              "min_speedup"))
-    batch = BatchPolicy(
-        # A bare [batch] table means "measure it": enabled defaults to
-        # the table's presence, so disabling is always explicit.
-        enabled=_bool(batch_table, "enabled", "batch" in raw, "batch"),
-        designs=tuple(
-            _names(batch_table, "designs", (), tuple(DESIGN_FACTORIES),
-                   "design", context="batch")
-        ) if "designs" in batch_table else (),
-        workloads=tuple(
-            _names(batch_table, "workloads", (), _WORKLOADS + tuple(MIXES),
-                   "workload or mix", context="batch")
-        ) if "workloads" in batch_table else (),
-        bus_models=tuple(
-            _names(batch_table, "bus_models", (), BUS_MODELS, "bus model",
-                   context="batch")
-        ) if "bus_models" in batch_table else (),
-        repeats=_int(batch_table, "repeats", 0, "batch"),
-        min_speedup=_number(batch_table, "min_speedup", 0.0, "batch"),
-    )
-
     gate_table = raw.get("gate", {})
     _require(gate_table, "[gate]",
              ("threshold", "window", "miss_rate_increase", "min_speedup",
@@ -427,7 +348,6 @@ def plan_from_dict(raw: dict, path: "Optional[str]" = None) -> BenchPlan:
         sweep=sweep,
         capture=capture,
         gate=gate,
-        batch=batch,
         path=path,
     )
 
@@ -562,7 +482,6 @@ def default_plan() -> BenchPlan:
 
 
 __all__ = [
-    "BatchPolicy",
     "BenchPlan",
     "CapturePolicy",
     "GatePolicy",

@@ -27,6 +27,7 @@ from repro.experiments.runner import (
     ExperimentConfig,
     StatsCache,
     build_design,
+    sweep,
 )
 
 TINY = ExperimentConfig(warmup_per_core=2500, measure_per_core=2500)
@@ -68,6 +69,10 @@ class TestRunner:
     def test_build_design_unknown_name(self):
         with pytest.raises(KeyError):
             build_design("magic-cache")
+
+    def test_sweep_accepts_only_the_scalar_engine(self):
+        with pytest.raises(ValueError, match="batch"):
+            sweep(["barnes"], ["private"], TINY, jobs=1, engine="batch")
 
     def test_stats_cache_memoizes(self, cache):
         first = cache.get(

@@ -109,6 +109,8 @@ class TestPlanValidation:
         ({"plan": {"name": "x"}, "sweep": {"enabled": "yes"}}, "enabled"),
         ({"plan": {"name": "x"},
           "gate": {"cells": {"oltp/ideal/atomic": 0.1}}}, "ideal"),
+        # The retired batch-kernel leg's table.
+        ({"plan": {"name": "x"}, "batch": {"enabled": True}}, "'batch'"),
     ])
     def test_invalid_plans_name_the_key(self, raw, fragment):
         with pytest.raises(PlanError, match=fragment):
@@ -288,6 +290,24 @@ class TestHistory:
     def test_env_key(self):
         assert env_key({"cpus": 4, "python": "3.11.7"}) == "cpus=4/py=3.11"
         assert env_key({}) == "cpus=?/py=?"
+        # Older records name the engine; every one timed the scalar engine.
+        assert env_key({"cpus": 4, "python": "3.11.7", "engine": "batch"}) == (
+            "cpus=4/py=3.11"
+        )
+
+    def test_batch_era_record_loads_and_reports(self, tmp_path):
+        """A record with ``batch`` blocks and ``plan.batch`` stays history."""
+        from repro.cli import main
+
+        path = os.path.join(REPO, "BENCH_20260809.json")
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle)
+        assert "batch" in raw and "batch" in raw["plan"]
+        runs = load_history([path])
+        assert len(runs) == 1 and runs[0].cells
+        assert main(["bench", "report", "--history", path,
+                     "--out-dir", str(tmp_path / "rpt")]) == 0
+        assert os.path.isfile(tmp_path / "rpt" / "trend.md")
 
 
 # ---------------------------------------------------------------------------
@@ -519,74 +539,6 @@ class TestBenchSatellites:
         assert [r.run_id for r in runs] == [
             "BENCH_20260101", "BENCH_20260101-2",
         ]
-
-
-def _engine_run(run_id, throughput, engine=None):
-    run = _v2_run(run_id, throughput)
-    if engine is not None:
-        run.environment["engine"] = engine
-    return run
-
-
-class TestEngineAlignment:
-    """Same-day batch-vs-scalar runs must not mix paths or baselines."""
-
-    def test_env_key_distinguishes_batch_engine(self):
-        scalar = {"cpus": 4, "python": "3.11.7"}
-        assert env_key({**scalar, "engine": "batch"}) == (
-            "cpus=4/py=3.11/engine=batch"
-        )
-        # Scalar and pre-engine records keep the historical key, so the
-        # accumulated BENCH history keeps aligning unchanged.
-        assert env_key({**scalar, "engine": "scalar"}) == "cpus=4/py=3.11"
-        assert env_key(scalar) == "cpus=4/py=3.11"
-        assert env_key({**scalar, "engine": None}) == "cpus=4/py=3.11"
-
-    def test_environment_fingerprint_same_day_engines_stay_distinct(
-            self, tmp_path):
-        """The scalar-then-batch same-day workflow end to end.
-
-        Both runs land on the same date: the second gets a collision
-        suffix (distinct run_id), and the engine-aware env key keeps
-        the pair in separate baseline groups.
-        """
-        scalar_path = bench.default_output_path("20260809", str(tmp_path))
-        open(scalar_path, "w").close()
-        batch_path = bench.default_output_path("20260809", str(tmp_path))
-        assert os.path.basename(batch_path) == "BENCH_20260809-2.json"
-
-        environment = environment_fingerprint()
-        scalar_env = dict(environment, engine="scalar")
-        batch_env = dict(environment, engine="batch")
-        assert env_key(scalar_env) == env_key(environment)
-        assert env_key(batch_env) != env_key(scalar_env)
-        assert env_key(batch_env).endswith("/engine=batch")
-
-    def test_batch_run_never_gates_against_scalar_baseline(self):
-        """A slow batch run after fast scalar history must SKIP, not FAIL."""
-        runs = [
-            _engine_run(f"BENCH_202601{i:02d}", {LABEL: 100.0})
-            for i in range(1, 5)
-        ]
-        runs.append(
-            _engine_run("BENCH_20260105", {LABEL: 10.0}, engine="batch")
-        )
-        verdicts = trend_report.evaluate(runs, build_trends(runs))
-        assert [v.status for v in verdicts] == [trend_report.SKIPPED]
-        assert "no comparable history" in verdicts[0].reason
-
-    def test_batch_runs_form_their_own_rolling_baseline(self):
-        """Batch history gates batch runs: a real drop still fails."""
-        runs = [
-            _engine_run(f"BENCH_202601{i:02d}", {LABEL: 200.0},
-                        engine="batch")
-            for i in range(1, 5)
-        ]
-        runs.append(
-            _engine_run("BENCH_20260105", {LABEL: 100.0}, engine="batch")
-        )
-        verdicts = trend_report.evaluate(runs, build_trends(runs))
-        assert [v.status for v in verdicts] == [trend_report.REGRESSION]
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ class TestTapeMemo:
         calls = _counting_factories(monkeypatch)
         cache = StatsCache()
         result = runner.sweep(["oltp"], ["private", "cmp-nurapid"], CONFIG,
-                              cache=cache, jobs=1, engine="scalar")
+                              cache=cache, jobs=1)
         assert len(calls) == 1
         tape, cores = cache.tape("oltp", CONFIG)
         assert cores == 4 and len(tape) == 4 * 100
